@@ -14,12 +14,13 @@
 //
 // scripts/validate_bench.py checks the emitted BENCH_serve.json: schema,
 // outcome accounting, that shared mode's lineage hit rate materially beats
-// per-session mode's, and that the observer-effect section (the same
-// traffic with tracing + journal on vs off) stays within 3% -- the
+// per-session mode's, and that the observer-effect section (median request
+// latency with tracing + journal on vs off) stays within 3% -- the
 // observability layer's cost contract, measured end to end.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -175,66 +176,70 @@ ModeStats RunOverload(const Traffic& traffic) {
   return stats;
 }
 
-/// Observer-effect section: the wall-clock cost of running the shared-mode
-/// traffic with full observability (tracing + journal) on versus off.
-/// Repetitions interleave the two legs to decorrelate host drift and the
-/// table records the min of each leg (same policy as the fusion micro);
-/// validate_bench.py gates enabled <= disabled * 1.03. The section resets
-/// the event rings between repetitions -- which would destroy the events a
-/// --trace/--journal run asked to keep -- so main() skips it then.
+/// Observer-effect section: the per-request cost of full observability
+/// (tracing + journal). One 1-worker manager serves one closed-loop client
+/// that cycles through the workloads: kWarmup requests, then kMeasured more
+/// with observability switched on for every other request, toggled while
+/// nothing is in flight. Both arms thus share one session, its cache and the
+/// host's drift, and each (workload, arm) pair gets the same number of
+/// samples. The table records each workload's median client latency per
+/// arm; validate_bench.py gates the geometric mean of the on/off ratios at
+/// 1.03. The section resets the event rings at its end -- which would
+/// destroy the events a --trace/--journal run asked to keep -- so main()
+/// skips it then.
 void RunObserverEffect(const Traffic& traffic) {
-  constexpr int kReps = 7;
-  // The claim under test is steady-state per-request overhead, so the
-  // measurement leg must (a) be long enough to amortize the per-thread fixed
-  // costs a fresh SessionManager pays only once (ring allocation on a
-  // worker's first emission, name interning, the one-time clock
-  // calibration) -- with the 3-request smoke traffic those fixed costs
-  // alone would read as a >2x "overhead" -- and (b) have a deterministic
-  // schedule: on a small host an oversubscribed closed loop turns scheduler
-  // interleaving into multi-percent leg-to-leg noise that would swamp the
-  // 3% gate. One worker serving one tenant's single closed-loop client
-  // executes the identical instruction stream on every leg; a second tenant
-  // would make the lone worker rebuild its session on every alternation,
-  // and the resulting warm/harvest event flood measures session churn, not
-  // the steady-state request path.
-  Traffic load = traffic;
-  load.workers = 1;
-  load.clients_per_tenant = 1;
-  load.tenants = 1;
-  load.requests_per_client = std::max(load.requests_per_client, 192);
-  // Small rings bound the section's footprint: every repetition's worker and
-  // client threads register fresh rings that outlive them, and the events
-  // are discarded after each repetition anyway. Emission cost per event does
-  // not depend on ring size, so the measurement is unaffected.
-  obs::SetTraceRingCapacity(size_t{1} << 9);
-  obs::SetJournalRingCapacity(size_t{1} << 9);
-  double best[2] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (int leg = 0; leg < 2; ++leg) {
-      const bool observed = leg == 1;
+  constexpr int kWarmup = 12;
+  constexpr int kMeasured = 1344;  // 224 per (workload, arm).
+  serve::ServeConfig config;
+  config.workers = 1;
+  config.shared_cache = true;
+  const std::vector<std::string> names = serve::WorkloadNames();
+  // Small rings bound the section's footprint; emission cost per event does
+  // not depend on ring size.
+  obs::SetEventRingCapacity(size_t{1} << 9);
+  std::vector<std::vector<double>> latencies_ms[2];  // [observed][workload]
+  latencies_ms[0].resize(names.size());
+  latencies_ms[1].resize(names.size());
+  {
+    serve::SessionManager manager(config);
+    for (int i = 0; i < kWarmup + kMeasured; ++i) {
+      const size_t workload = static_cast<size_t>(i) % names.size();
+      const bool observed = i % 2 == 1;
       obs::EnableTracing(observed);
       obs::EnableJournal(observed);
       const auto start = std::chrono::steady_clock::now();
-      RunMode(/*shared_cache=*/true, load);
-      best[leg] = std::min(
-          best[leg], std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-      obs::EnableTracing(false);
-      obs::EnableJournal(false);
-      // Workers and clients are joined by RunMode: no thread is emitting,
-      // so draining here honors the quiescence contract.
-      obs::ResetTrace();
-      obs::ResetJournal();
+      serve::RequestTicketPtr ticket = manager.Submit(
+          serve::MakeWorkloadRequest("tenant0", names[workload], traffic.rows,
+                                     traffic.cols, /*seed=*/11));
+      ticket->Wait();
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (i >= kWarmup) latencies_ms[observed][workload].push_back(ms);
     }
+    obs::EnableTracing(false);
+    obs::EnableJournal(false);
+    manager.Shutdown();
   }
-  obs::SetTraceRingCapacity(size_t{1} << 17);
-  obs::SetJournalRingCapacity(size_t{1} << 17);
-  bench::PrintTable(
-      "Serve observer effect (s)", {"disabled", "enabled"},
-      {{"wall_min_of_7", {best[0], best[1]}},
-       {"overhead_ratio", {1.0, best[0] > 0 ? best[1] / best[0] : 0.0}}});
+  // The worker is joined: no thread is emitting, so draining here honors
+  // the quiescence contract.
+  obs::ResetTrace();
+  obs::ResetJournal();
+  obs::SetEventRingCapacity(size_t{1} << 17);
+
+  std::vector<bench::Row> rows;
+  double log_ratio_sum = 0.0;
+  for (size_t w = 0; w < names.size(); ++w) {
+    const double off_ms = Percentile(latencies_ms[0][w], 0.50);
+    const double on_ms = Percentile(latencies_ms[1][w], 0.50);
+    rows.push_back({"p50_" + names[w], {off_ms / 1e3, on_ms / 1e3}});
+    log_ratio_sum += std::log(on_ms / off_ms);
+  }
+  rows.push_back(
+      {"overhead_ratio",
+       {1.0, std::exp(log_ratio_sum / static_cast<double>(names.size()))}});
+  bench::PrintTable("Serve observer effect (s)", {"disabled", "enabled"},
+                    rows);
 }
 
 /// Verifier-effect section: the wall-clock cost of the static plan verifier

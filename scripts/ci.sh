@@ -117,8 +117,8 @@ run_config() {
   # whole serve suite; this is the targeted repeat for triage).
   if [[ "${config}" == "plain" ]]; then
     # This run doubles as the observer-effect gate: BENCH_serve.json carries
-    # the tracing+journal-on vs -off wall clocks and validate_bench fails if
-    # the observed run is more than 3% slower.
+    # median request latencies with tracing+journal on vs off and
+    # validate_bench fails if the observed requests are more than 3% slower.
     (cd "${build_dir}/bench" && ./bench_serve --smoke > /dev/null)
     python3 "${REPO_ROOT}/scripts/validate_bench.py" \
       "${build_dir}/bench/BENCH_serve.json"

@@ -39,6 +39,7 @@ struct CacheEntry {
   double scalar_value = 0.0;
   spark::RddPtr rdd;
   GpuCacheObjectPtr gpu;
+  uint64_t gpu_generation = 0;  // gpu->generation when this entry was put.
 
   // Metadata.
   double compute_cost = 0.0;       // c(o): analytic cost of recomputing.

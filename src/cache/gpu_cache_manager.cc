@@ -96,6 +96,7 @@ GpuCacheObjectPtr GpuCacheManager::Allocate(size_t bytes, double* now) {
         GpuCacheObjectPtr victim = candidate;
         RemoveFromFreeList(victim);
         victim->buffer->data.reset();
+        ++victim->generation;
         victim->ref_count = 1;
         victim->last_access = *now;
         ++stats_.recycled_exact;
@@ -117,6 +118,7 @@ GpuCacheObjectPtr GpuCacheManager::Allocate(size_t bytes, double* now) {
       RemoveFromFreeList(victim);
       victim->lineage = nullptr;  // Cache entry becomes invalid.
       victim->buffer->data.reset();
+      ++victim->generation;
       victim->ref_count = 1;
       victim->last_access = *now;
       ++stats_.recycled_exact;
@@ -127,6 +129,7 @@ GpuCacheObjectPtr GpuCacheManager::Allocate(size_t bytes, double* now) {
       GpuCacheObjectPtr victim = MinScore(it->second, *now);
       RemoveFromFreeList(victim);
       victim->lineage = nullptr;
+      ++victim->generation;
       gpu_->Free(victim->buffer, now);  // May fragment (Section 4.2).
       ++stats_.freed_larger;
       if (auto buffer = gpu_->Malloc(bytes, now); buffer.has_value()) {
@@ -141,6 +144,7 @@ GpuCacheObjectPtr GpuCacheManager::Allocate(size_t bytes, double* now) {
     GpuCacheObjectPtr victim = GlobalMinScore(*now);
     RemoveFromFreeList(victim);
     victim->lineage = nullptr;
+    ++victim->generation;
     gpu_->Free(victim->buffer, now);
     ++stats_.freed_for_space;
     if (auto buffer = gpu_->Malloc(bytes, now); buffer.has_value()) {
@@ -178,6 +182,7 @@ void GpuCacheManager::Release(const GpuCacheObjectPtr& object, double* now) {
     free_list_[object->buffer->bytes].push_back(object);
   } else {
     // Baseline mode (no recycling, no caching): eager cudaFree.
+    ++object->generation;
     gpu_->Free(object->buffer, now);
   }
 }
@@ -223,6 +228,7 @@ void GpuCacheManager::EvictPercent(double percent, double* now,
       ++stats_.d2h_evictions;
     }
     victim->lineage = nullptr;
+    ++victim->generation;
     freed += static_cast<double>(victim->buffer->bytes);
     MEMPHIS_TRACE_INSTANT1_REQ("gpu", "evict", "bytes",
                                static_cast<double>(victim->buffer->bytes));

@@ -2,6 +2,7 @@
 #define MEMPHIS_CACHE_GPU_CACHE_MANAGER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -21,6 +22,7 @@ class GpuCacheManager;
 struct GpuCacheObject {
   gpu::GpuBufferPtr buffer;
   LineageItemPtr lineage;      // nullptr once recycled / for uncached temps.
+  uint64_t generation = 0;     // bumped whenever the contents are dropped.
   int ref_count = 0;           // live variables referencing the pointer.
   bool in_free_list = false;
   double last_access = 0.0;    // T_a(o).

@@ -207,8 +207,10 @@ CacheEntryPtr LineageCache::Reuse(const LineageItemPtr& key, double* now) {
       ++stats_.hits_rdd;
       break;
     case CacheKind::kGpu:
-      // Validity: the pointer may have been recycled since it was cached.
-      if (entry->gpu == nullptr || entry->gpu->lineage == nullptr ||
+      // Validity: the pointer may have been recycled since it was cached,
+      // and even re-tagged with another key since (the generation check).
+      if (entry->gpu == nullptr ||
+          entry->gpu->generation != entry->gpu_generation ||
           entry->gpu->buffer == nullptr || entry->gpu->buffer->data == nullptr) {
         {
           Shard& shard = ShardFor(key);
@@ -340,6 +342,7 @@ CacheEntryPtr LineageCache::PutGpu(const LineageItemPtr& key,
   entry->size_bytes = entry->gpu->buffer->bytes;
   entry->last_access = now;
   entry->gpu->owner->Annotate(entry->gpu, key, compute_cost, now);
+  entry->gpu_generation = entry->gpu->generation;
   ++stats_.puts;
   MEMPHIS_JOURNAL(kPut, kGpu, kNone, JournalKey(key), compute_cost,
                   static_cast<double>(entry->size_bytes));

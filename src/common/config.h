@@ -131,17 +131,6 @@ struct SystemConfig {
   /// Background harvest interval (wall ms); 0 = manual HarvestToDiskNow().
   double persist_harvest_interval_ms = 0.0;
 
-  // --- fabric knobs (src/fabric/fabric.h) ------------------------------------
-  /// Number of federated serving sites the fabric spreads tenants across.
-  /// 1 (the default) means no fabric: a single MemphisSystem executes
-  /// programs directly, so these knobs are inert for plain execution and
-  /// the fuzz lattice can assert exactly that.
-  int num_sites = 1;
-  /// Async-round staleness bound K: a site may lag at most K rounds behind
-  /// the coordinator and still contribute to aggregation. 0 degenerates to
-  /// fully synchronous rounds (bitwise-identical to FederatedCoordinator).
-  int staleness_bound = 0;
-
   // --- GPU knobs ---------------------------------------------------------------
   /// Number of devices, each with its own stream, arena, and cache tier
   /// (Section 5.4; the paper's scale-up node has two A40s).

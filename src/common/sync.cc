@@ -48,10 +48,8 @@ const char* LockRankName(LockRank rank) {
       return "metrics";
     case LockRank::kTest:
       return "test";
-    case LockRank::kTraceRegistry:
-      return "trace-registry";
-    case LockRank::kJournalRegistry:
-      return "journal-registry";
+    case LockRank::kObsRegistry:
+      return "obs-registry";
   }
   return "?";
 }

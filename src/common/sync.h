@@ -204,26 +204,16 @@ namespace memphis {
 //       |                 |                                    | tests; may
 //       |                 |                                    | wrap traced
 //       |                 |                                    | code, so the
-//       |                 |                                    | trace rank
+//       |                 |                                    | obs rank
 //       |                 |                                    | stays above.
-//  15   | kTraceRegistry  | obs/trace.cc Registry::mu          | near-innermost:
-//       |                 |                                    | a first
-//       |                 |                                    | trace event
-//       |                 |                                    | on a thread
-//       |                 |                                    | registers a
-//       |                 |                                    | ring under
-//       |                 |                                    | any lock.
-//  16   | kJournalRegistry| obs/journal.cc Registry::mu        | innermost: a
-//       |                 |                                    | first journal
-//       |                 |                                    | event on a
-//       |                 |                                    | thread
+//  15   | kObsRegistry    | obs/trace.cc Registry::mu          | innermost: a
+//       |                 |                                    | thread's
+//       |                 |                                    | first trace
+//       |                 |                                    | or journal
+//       |                 |                                    | event
 //       |                 |                                    | registers its
 //       |                 |                                    | ring under
-//       |                 |                                    | any lock,
-//       |                 |                                    | including
-//       |                 |                                    | right after
-//       |                 |                                    | an Intern()
-//       |                 |                                    | (trace rank).
+//       |                 |                                    | any lock.
 enum class LockRank : int {
   kFabric = 0,
   kFabricStore = 1,
@@ -240,10 +230,9 @@ enum class LockRank : int {
   kObsExporter = 12,
   kMetrics = 13,
   kTest = 14,
-  kTraceRegistry = 15,
-  kJournalRegistry = 16,
+  kObsRegistry = 15,
 };
-inline constexpr int kLockRankCount = 17;
+inline constexpr int kLockRankCount = 16;
 
 /// Stable display name of a rank ("pool", "cache-shard", ...).
 const char* LockRankName(LockRank rank);

@@ -17,9 +17,6 @@ namespace memphis::fabric {
 /// Geo-distributed serving fabric configuration.
 struct FabricConfig {
   int num_sites = 2;
-  /// Default staleness bound K for round engines driven over this fabric
-  /// (mirrors SystemConfig::staleness_bound; see fabric/rounds.h).
-  int staleness_bound = 0;
   /// Share broadcast-derived intermediates across sites through the
   /// FabricStore tier. Off = site-isolated stores (the baseline every
   /// cross-site number is compared against).

@@ -158,16 +158,6 @@ std::vector<LatticePoint> DefaultLattice() {
     lattice.push_back(point);
   }
   {
-    LatticePoint point;  // Fabric knobs are inert for single-system runs:
-    point.name = "fabric-knobs";  // num_sites/staleness_bound only shape the
-    point.config.reuse_mode = ReuseMode::kMemphis;  // serving fabric, so this
-    point.config.cp_threads = 4;  // point must be bitwise-identical to
-    point.config.num_sites = 4;   // "memphis".
-    point.config.staleness_bound = 2;
-    point.repeats = 2;
-    lattice.push_back(point);
-  }
-  {
     LatticePoint point;  // Verifier differential axis: the static plan
     point.name = "no-verify";  // verifier must never change results, so a
     point.config.reuse_mode = ReuseMode::kMemphis;  // verifier-off run must
@@ -246,8 +236,6 @@ Json ConfigToJson(const SystemConfig& config) {
            Json::Number(config.persist_min_compute_cost));
   json.Set("persist_harvest_interval_ms",
            Json::Number(config.persist_harvest_interval_ms));
-  json.Set("num_sites", Json::Number(config.num_sites));
-  json.Set("staleness_bound", Json::Number(config.staleness_bound));
   return json;
 }
 
@@ -322,10 +310,6 @@ SystemConfig ConfigFromJson(const Json& json) {
       json.GetOr("persist_min_compute_cost", config.persist_min_compute_cost);
   config.persist_harvest_interval_ms = json.GetOr(
       "persist_harvest_interval_ms", config.persist_harvest_interval_ms);
-  config.num_sites = static_cast<int>(
-      json.GetOr("num_sites", static_cast<double>(config.num_sites)));
-  config.staleness_bound = static_cast<int>(json.GetOr(
-      "staleness_bound", static_cast<double>(config.staleness_bound)));
   return config;
 }
 

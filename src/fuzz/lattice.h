@@ -26,7 +26,7 @@ struct LatticePoint {
   KernelFault fault;
 };
 
-/// The full sweep used by the memphis_fuzz CLI (~8 points): reuse modes,
+/// The full sweep used by the memphis_fuzz CLI (10 points): reuse modes,
 /// starved cache/device budgets, Spark-forced and GPU-eager placement, and
 /// thread-pool widths 1/4/8.
 std::vector<LatticePoint> DefaultLattice();

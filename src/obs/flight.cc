@@ -6,12 +6,11 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "common/sync.h"
+#include "obs/event_ring.h"
 #include "obs/journal.h"
-#include "obs/trace.h"
 
 namespace memphis::obs {
 
@@ -23,22 +22,6 @@ std::atomic<bool> g_enabled{false};
 std::atomic<const std::string*> g_dir{nullptr};
 std::atomic<bool> g_dump_in_progress{false};
 std::atomic<int64_t> g_dumps{0};
-
-void AppendEscaped(std::string* out, const char* s) {
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out->append(buffer);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 void RankViolationTrampoline(const char* what) { DumpFlightRecord(what); }
 
@@ -79,17 +62,13 @@ std::string DumpFlightRecord(const char* reason) {
   // violation (the inner call lands here and bails).
   if (g_dump_in_progress.exchange(true, std::memory_order_acq_rel)) return "";
 
+  // Crash-path collectors for both rings: the dump may run from the SIGABRT
+  // a checked drain raised, and other threads may still be emitting.
   TraceSnapshot trace = CollectTraceForCrash();
-  JournalSnapshot journal = CollectJournal();
-  auto by_ts_trace = [](const TraceEvent& a, const TraceEvent& b) {
-    return a.ts_us < b.ts_us;
-  };
-  auto by_ts_journal = [](const JournalEvent& a, const JournalEvent& b) {
-    return a.ts_us < b.ts_us;
-  };
-  std::stable_sort(trace.events.begin(), trace.events.end(), by_ts_trace);
-  std::stable_sort(journal.events.begin(), journal.events.end(),
-                   by_ts_journal);
+  JournalSnapshot journal = CollectJournalForCrash();
+  auto by_ts = [](const auto& a, const auto& b) { return a.ts_us < b.ts_us; };
+  std::stable_sort(trace.events.begin(), trace.events.end(), by_ts);
+  std::stable_sort(journal.events.begin(), journal.events.end(), by_ts);
   const size_t trace_from =
       trace.events.size() > kFlightTailEvents
           ? trace.events.size() - kFlightTailEvents
@@ -104,7 +83,7 @@ std::string DumpFlightRecord(const char* reason) {
               (journal.events.size() - journal_from) * 160 + 512);
   char buffer[192];
   out.append("{\"memphis_flight\":1,\"reason\":\"");
-  AppendEscaped(&out, reason != nullptr ? reason : "?");
+  internal::AppendJsonEscaped(&out, reason != nullptr ? reason : "?");
   std::snprintf(buffer, sizeof(buffer),
                 "\",\"pid\":%d,\"ts_us\":%.3f,"
                 "\"trace_emitted\":%llu,\"trace_dropped\":%llu,"
@@ -120,9 +99,9 @@ std::string DumpFlightRecord(const char* reason) {
   for (size_t i = trace_from; i < trace.events.size(); ++i) {
     const TraceEvent& event = trace.events[i];
     out.append("{\"name\":\"");
-    AppendEscaped(&out, event.name);
+    internal::AppendJsonEscaped(&out, event.name);
     out.append("\",\"cat\":\"");
-    AppendEscaped(&out, event.cat);
+    internal::AppendJsonEscaped(&out, event.cat);
     std::snprintf(buffer, sizeof(buffer),
                   "\",\"ph\":\"%c\",\"ts\":%.3f,\"lane\":%d,\"tid\":%d,"
                   "\"rid\":%llu}",
@@ -134,19 +113,7 @@ std::string DumpFlightRecord(const char* reason) {
   }
   out.append("],\n\"journal_tail\":[\n");
   for (size_t i = journal_from; i < journal.events.size(); ++i) {
-    const JournalEvent& event = journal.events[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"rid\":%llu,\"ts\":%.3f,\"kind\":\"%s\",\"tier\":\"%s\","
-                  "\"reason\":\"%s\",\"key\":\"%016llx\",\"cost\":%.6g,"
-                  "\"bytes\":%.6g,\"tid\":%d,\"tenant\":\"",
-                  static_cast<unsigned long long>(event.rid), event.ts_us,
-                  ToString(event.kind), ToString(event.tier),
-                  ToString(event.reason),
-                  static_cast<unsigned long long>(event.key_hash), event.cost,
-                  event.bytes, event.tid);
-    out.append(buffer);
-    AppendEscaped(&out, event.tenant);
-    out.append("\"}");
+    internal::AppendJournalEventJson(&out, journal.events[i]);
     if (i + 1 < journal.events.size()) out.push_back(',');
     out.push_back('\n');
   }
@@ -156,10 +123,7 @@ std::string DumpFlightRecord(const char* reason) {
   std::string path = (dir != nullptr ? *dir : std::string(".")) +
                      "/memphis_flight_" +
                      std::to_string(static_cast<int>(getpid())) + ".json";
-  std::ofstream file(path, std::ios::trunc);
-  file << out;
-  const bool ok = file.good();
-  file.close();
+  const bool ok = internal::WriteTextFile(path, out);
   if (ok) g_dumps.fetch_add(1, std::memory_order_relaxed);
   g_dump_in_progress.store(false, std::memory_order_release);
   return ok ? path : "";

@@ -13,11 +13,11 @@ namespace memphis::obs {
 /// so post-mortems of the kill-replay and serve-stress harnesses carry
 /// their own evidence instead of requiring a re-run under tracing.
 ///
-/// The dump path is best-effort by design: it drains the trace rings with
-/// the crash-path collector (no quiescence assertion; other threads may
-/// still be emitting) and, from a signal handler, calls non-async-safe
-/// library code -- acceptable for a post-mortem artifact that is the last
-/// thing the process does. A process-wide atomic latch serializes dumps and
+/// The dump path is best-effort by design: it drains the trace and journal
+/// rings with the crash-path collectors (no quiescence assertion; other
+/// threads may still be emitting) and, from a signal handler, calls
+/// non-async-safe library code -- acceptable for a post-mortem artifact that
+/// is the last thing the process does. A process-wide atomic latch serializes dumps and
 /// breaks the recursion where dumping itself trips another violation.
 
 /// Arms the recorder: remembers `dir` (created by the caller; "." works),

@@ -2,97 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
-#include "common/sync.h"
-#include "obs/trace.h"
+#include "obs/event_ring.h"
 
 namespace memphis::obs {
 
 namespace internal {
 std::atomic<bool> g_journal_enabled{false};
 }  // namespace internal
-
-namespace {
-
-/// One thread's decision ring; same single-writer discipline as TraceRing
-/// (plain slot write + release head store, collection under the registry
-/// mutex while the system is quiescent).
-class JournalRing {
- public:
-  JournalRing(int tid, size_t capacity)
-      : tid_(tid), capacity_(capacity), slots_(capacity) {}
-
-  void Push(const JournalEvent& event) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    slots_[head & (capacity_ - 1)] = event;
-    head_.store(head + 1, std::memory_order_release);
-  }
-
-  void CollectInto(JournalSnapshot* out) const {
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    const uint64_t survivors = std::min<uint64_t>(head, capacity_);
-    out->emitted += head;
-    out->dropped += head - survivors;
-    for (uint64_t i = head - survivors; i < head; ++i) {
-      JournalEvent event = slots_[i & (capacity_ - 1)];
-      event.tid = tid_;
-      out->events.push_back(event);
-    }
-  }
-
-  void Reset() { head_.store(0, std::memory_order_release); }
-
- private:
-  int tid_;
-  size_t capacity_;
-  std::vector<JournalEvent> slots_;
-  std::atomic<uint64_t> head_{0};
-};
-
-struct Registry {
-  // Innermost rank: a thread's first decision registers its ring from inside
-  // arbitrary lock scopes (e.g. a probe under a cache shard lock).
-  Mutex mu{LockRank::kJournalRegistry, "journal-registry"};
-  std::vector<std::shared_ptr<JournalRing>> rings MEMPHIS_GUARDED_BY(mu);
-  size_t ring_capacity MEMPHIS_GUARDED_BY(mu) = size_t{1} << 17;
-  int next_tid MEMPHIS_GUARDED_BY(mu) = 1;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
-}
-
-JournalRing& ThreadRing() {
-  thread_local std::shared_ptr<JournalRing> ring = [] {
-    Registry& registry = GetRegistry();
-    MutexLock lock(registry.mu);
-    auto created = std::make_shared<JournalRing>(registry.next_tid++,
-                                                 registry.ring_capacity);
-    registry.rings.push_back(created);
-    return created;
-  }();
-  return *ring;
-}
-
-void AppendEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out->append(buffer);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-}  // namespace
 
 const char* ToString(JournalKind kind) {
   switch (kind) {
@@ -142,14 +59,6 @@ void EnableJournal(bool enabled) {
   internal::g_journal_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void SetJournalRingCapacity(size_t capacity) {
-  size_t rounded = 1;
-  while (rounded < capacity) rounded <<= 1;
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  registry.ring_capacity = std::max<size_t>(8, rounded);
-}
-
 void EmitJournal(JournalKind kind, JournalTier tier, JournalReason reason,
                  uint64_t key_hash, double cost, double bytes) {
   const RequestContext& request = CurrentRequest();
@@ -163,21 +72,34 @@ void EmitJournal(JournalKind kind, JournalTier tier, JournalReason reason,
   event.tier = tier;
   event.reason = reason;
   event.tenant = request.tenant;
-  ThreadRing().Push(event);
+  internal::ThreadRing<JournalEvent>().Push(event);
 }
 
 JournalSnapshot CollectJournal() {
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  JournalSnapshot snapshot;
-  for (const auto& ring : registry.rings) ring->CollectInto(&snapshot);
-  return snapshot;
+  return internal::CollectRings<JournalEvent>("CollectJournal");
 }
 
-void ResetJournal() {
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  for (const auto& ring : registry.rings) ring->Reset();
+void ResetJournal() { internal::ResetRings<JournalEvent>("ResetJournal"); }
+
+JournalSnapshot CollectJournalForCrash() {
+  return internal::CollectRings<JournalEvent>(nullptr);
+}
+
+void internal::AppendJournalEventJson(std::string* out,
+                                      const JournalEvent& event) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"rid\":%llu,\"ts\":%.3f,\"kind\":\"%s\",\"tier\":\"%s\","
+                "\"reason\":\"%s\",\"key\":\"%016llx\",\"cost\":%.6g,"
+                "\"bytes\":%.6g,\"tid\":%d,\"tenant\":\"",
+                static_cast<unsigned long long>(event.rid), event.ts_us,
+                ToString(event.kind), ToString(event.tier),
+                ToString(event.reason),
+                static_cast<unsigned long long>(event.key_hash), event.cost,
+                event.bytes, event.tid);
+  out->append(buffer);
+  AppendJsonEscaped(out, event.tenant);
+  out->append("\"}");
 }
 
 bool WriteJournalJson(const std::string& path) {
@@ -189,7 +111,7 @@ bool WriteJournalJson(const std::string& path) {
                    });
   std::string out;
   out.reserve(snapshot.events.size() * 160 + 256);
-  char buffer[192];
+  char buffer[128];
   std::snprintf(buffer, sizeof(buffer),
                 "{\"memphis_journal\":1,\"emitted\":%llu,\"dropped\":%llu,"
                 "\"events\":[\n",
@@ -197,29 +119,12 @@ bool WriteJournalJson(const std::string& path) {
                 static_cast<unsigned long long>(snapshot.dropped));
   out.append(buffer);
   for (size_t i = 0; i < snapshot.events.size(); ++i) {
-    const JournalEvent& event = snapshot.events[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"rid\":%llu,\"ts\":%.3f,\"kind\":\"%s\",\"tier\":\"%s\","
-                  "\"reason\":\"%s\",\"key\":\"%016llx\",\"cost\":%.6g,"
-                  "\"bytes\":%.6g,\"tid\":%d,\"tenant\":\"",
-                  static_cast<unsigned long long>(event.rid), event.ts_us,
-                  ToString(event.kind), ToString(event.tier),
-                  ToString(event.reason),
-                  static_cast<unsigned long long>(event.key_hash), event.cost,
-                  event.bytes, event.tid);
-    out.append(buffer);
-    AppendEscaped(&out, event.tenant != nullptr ? event.tenant : "");
-    out.append("\"}");
+    internal::AppendJournalEventJson(&out, snapshot.events[i]);
     if (i + 1 < snapshot.events.size()) out.push_back(',');
     out.push_back('\n');
   }
   out.append("]}\n");
-  std::FILE* file = std::fopen(path.c_str(), "w");  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  if (file == nullptr) return false;
-  const size_t written = std::fwrite(out.data(), 1, out.size(), file);  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  const bool ok = written == out.size() && std::fclose(file) == 0;
-  if (written != out.size()) std::fclose(file);
-  return ok;
+  return internal::WriteTextFile(path, out);
 }
 
 }  // namespace memphis::obs

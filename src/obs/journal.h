@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/request_trace.h"
+#include "obs/trace.h"
 
 namespace memphis::obs {
 
@@ -17,12 +18,12 @@ namespace memphis::obs {
 /// tenant of the thread-local RequestContext at emission time. Drained as
 /// line-oriented JSON and rendered per request by the memphis_explain CLI.
 ///
-/// Same architecture and cost contract as the trace collector (trace.h):
-/// with the journal disabled every MEMPHIS_JOURNAL site costs exactly one
-/// relaxed atomic load plus a predictable branch; enabled emission is a
-/// lock-free push into the calling thread's ring (registered under the
-/// innermost kJournalRegistry rank, so first emission is safe under any
-/// lock). Rings overwrite oldest events when full; CollectJournal accounts
+/// The journal shares the trace collector's ring type, registry, capacity
+/// setter (SetEventRingCapacity) and quiescence check (trace.h), and keeps
+/// its own switch: with the journal disabled every MEMPHIS_JOURNAL site
+/// costs exactly one relaxed atomic load plus a predictable branch; enabled
+/// emission is a lock-free push into the calling thread's journal ring.
+/// Rings overwrite oldest events when full; CollectJournal accounts
 /// overwritten events in `dropped` so emitted == collected + dropped holds.
 /// Drain (CollectJournal / ResetJournal / WriteJournalJson) only while no
 /// thread is emitting.
@@ -39,10 +40,6 @@ inline bool JournalEnabled() {
 }
 
 void EnableJournal(bool enabled);
-
-/// Ring capacity (events per thread) for rings created *after* this call.
-/// Must be a power of two; defaults to 1<<17.
-void SetJournalRingCapacity(size_t capacity);
 
 // --- events -----------------------------------------------------------------
 
@@ -99,7 +96,7 @@ struct JournalEvent {
   JournalTier tier = JournalTier::kNone;
   JournalReason reason = JournalReason::kNone;
   const char* tenant = nullptr;
-  int32_t tid = 0;  // filled at collection time from the owning ring.
+  int32_t tid = 0;  // filled at collection time; equals the thread's trace tid.
 };
 
 // --- emission (call only when JournalEnabled()) -----------------------------
@@ -121,17 +118,17 @@ void EmitJournal(JournalKind kind, JournalTier tier, JournalReason reason,
 
 // --- collection / export ----------------------------------------------------
 
-struct JournalSnapshot {
-  std::vector<JournalEvent> events;  // Oldest-first per tid.
-  uint64_t emitted = 0;
-  uint64_t dropped = 0;
-};
+using JournalSnapshot = EventSnapshot<JournalEvent>;
 
 /// Copies every ring's surviving events. Call while no thread is emitting.
 JournalSnapshot CollectJournal();
 
 /// Clears all rings (tests / between bench configurations).
 void ResetJournal();
+
+/// Crash-path collection: CollectJournal without the quiescence check (see
+/// CollectTraceForCrash).
+JournalSnapshot CollectJournalForCrash();
 
 /// Writes the journal as JSON with one event object per line (the format
 /// memphis_explain parses):

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/event_ring.h"
+
 namespace memphis::obs {
 
 namespace {
@@ -259,13 +261,7 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "w");  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  if (file == nullptr) return false;
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  const bool ok = written == json.size() && std::fclose(file) == 0;
-  if (written != json.size()) std::fclose(file);
-  return ok;
+  return internal::WriteTextFile(path, ToJson());
 }
 
 void MetricsRegistry::FlushInto(MetricsRegistry* target) const {

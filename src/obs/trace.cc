@@ -4,10 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/sync.h"
+#include "obs/event_ring.h"
+#include "obs/journal.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -18,84 +21,28 @@ namespace memphis::obs {
 
 namespace internal {
 std::atomic<bool> g_trace_enabled{false};
+std::atomic<void (*)()> g_emission_pause_hook{nullptr};
 }  // namespace internal
 
 namespace {
 
-// --- quiescence enforcement -------------------------------------------------
-// Every enabled emission registers as mid-flight around its ring push; the
-// drain entry points assert the counter is zero. This turns the documented
-// "drain only while no thread is emitting" contract into an enforced one.
+using internal::AppendJsonEscaped;
+using internal::EventRing;
+
+template <typename Event>
+using Rings = std::vector<std::shared_ptr<EventRing<Event>>>;
 
 std::atomic<int64_t> g_quiescence_violations{0};
 std::atomic<bool> g_quiescence_abort{true};
-std::atomic<void (*)()> g_emission_pause_hook{nullptr};
 
-/// One thread's event ring. The owner pushes lock-free (plain slot write +
-/// release head store); collection reads under the registry mutex while the
-/// system is quiescent. The ring doubles as the thread's mid-emission
-/// marker: a global in-flight counter would put one shared cache line in
-/// every emission's path (two contended RMWs per event, which the
-/// observer-effect gate in validate_bench.py would reject), whereas the
-/// ring's own line is already in the emitting thread's cache. Only the
-/// owner writes it, so a relaxed read + release store suffices; the
-/// drain-side check sums the markers across all registered rings.
-class TraceRing {
- public:
-  TraceRing(int tid, size_t capacity)
-      : tid_(tid), capacity_(capacity), slots_(capacity) {}
-
-  void Push(const TraceEvent& event) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    slots_[head & (capacity_ - 1)] = event;
-    head_.store(head + 1, std::memory_order_release);
-  }
-
-  void BeginEmission() {
-    mid_emission_.store(mid_emission_.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_release);
-    if (void (*hook)() = g_emission_pause_hook.load(std::memory_order_acquire))
-      hook();
-  }
-
-  void EndEmission() {
-    mid_emission_.store(mid_emission_.load(std::memory_order_relaxed) - 1,
-                        std::memory_order_release);
-  }
-
-  int64_t InFlight() const {
-    return mid_emission_.load(std::memory_order_acquire);
-  }
-
-  int tid() const { return tid_; }
-
-  void CollectInto(TraceSnapshot* out) const {
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    const uint64_t survivors = std::min<uint64_t>(head, capacity_);
-    out->emitted += head;
-    out->dropped += head - survivors;
-    for (uint64_t i = head - survivors; i < head; ++i) {
-      TraceEvent event = slots_[i & (capacity_ - 1)];
-      event.tid = tid_;
-      out->events.push_back(event);
-    }
-  }
-
-  void Reset() { head_.store(0, std::memory_order_release); }
-
- private:
-  int tid_;
-  size_t capacity_;
-  std::vector<TraceEvent> slots_;
-  std::atomic<uint64_t> head_{0};
-  std::atomic<int64_t> mid_emission_{0};
-};
-
+/// The one registry of every thread's trace and journal rings.
 struct Registry {
-  // Innermost rank: a thread's first emission registers its ring from inside
-  // arbitrary lock scopes (e.g. a trace instant under a cache shard lock).
-  Mutex mu{LockRank::kTraceRegistry, "trace-registry"};
-  std::vector<std::shared_ptr<TraceRing>> rings MEMPHIS_GUARDED_BY(mu);
+  // Innermost rank: a thread's first trace or journal event registers its
+  // ring from inside arbitrary lock scopes (e.g. a probe under a cache shard
+  // lock).
+  Mutex mu{LockRank::kObsRegistry, "obs-registry"};
+  std::tuple<Rings<TraceEvent>, Rings<JournalEvent>> rings
+      MEMPHIS_GUARDED_BY(mu);
   std::vector<std::string> lane_names MEMPHIS_GUARDED_BY(mu);
   std::unordered_set<std::string> interned MEMPHIS_GUARDED_BY(mu);
   size_t ring_capacity MEMPHIS_GUARDED_BY(mu) = size_t{1} << 17;
@@ -135,31 +82,29 @@ Registry& GetRegistry() {
   return *registry;
 }
 
-/// RAII mid-emission marker on the calling thread's ring.
-class EmissionScope {
- public:
-  explicit EmissionScope(TraceRing& ring) : ring_(ring) {
-    ring_.BeginEmission();
-  }
-  ~EmissionScope() { ring_.EndEmission(); }
-  EmissionScope(const EmissionScope&) = delete;
-  EmissionScope& operator=(const EmissionScope&) = delete;
+// One thread_local outside the per-event-type templates, so a thread's trace
+// and journal rings share a tid (0 until the thread's first ring).
+thread_local int t_tid = 0;
 
- private:
-  TraceRing& ring_;
-};
-
-void CheckQuiescent(const char* what) {
+/// Visits every ring of `Event` under the registry mutex. A checked visit
+/// (`what` != nullptr) reports the emissions it found in flight only after
+/// releasing the mutex: an armed flight recorder's SIGABRT handler drains
+/// this same registry, so aborting with the mutex held would hang the dump.
+template <typename Event, typename Visit>
+void VisitRings(const char* what, Visit visit) {
   int64_t in_flight = 0;
   {
     Registry& registry = GetRegistry();
     MutexLock lock(registry.mu);
-    for (const auto& ring : registry.rings) in_flight += ring->InFlight();
-  }  // Released before the caller re-acquires it to drain.
-  if (in_flight == 0) return;
+    for (const auto& ring : std::get<Rings<Event>>(registry.rings)) {
+      in_flight += ring->InFlight();
+      visit(*ring);
+    }
+  }
+  if (what == nullptr || in_flight == 0) return;
   g_quiescence_violations.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr,
-               "MEMPHIS TRACE QUIESCENCE VIOLATION: %s called while %lld "
+               "MEMPHIS OBS QUIESCENCE VIOLATION: %s called while %lld "
                "emission(s) in flight -- drain only after the pool is idle "
                "(see the contract in src/obs/trace.h)\n",
                what, static_cast<long long>(in_flight));
@@ -167,48 +112,18 @@ void CheckQuiescent(const char* what) {
   if (g_quiescence_abort.load(std::memory_order_relaxed)) std::abort();
 }
 
-TraceRing& ThreadRing() {
-  thread_local std::shared_ptr<TraceRing> ring = [] {
-    Registry& registry = GetRegistry();
-    MutexLock lock(registry.mu);
-    auto created = std::make_shared<TraceRing>(registry.next_tid++,
-                                               registry.ring_capacity);
-    registry.rings.push_back(created);
-    return created;
-  }();
-  return *ring;
-}
-
 void FillArgs(TraceEvent* event, uint32_t num_args, const TraceArg* args) {
   event->num_args = std::min<uint32_t>(num_args, 3);
   for (uint32_t i = 0; i < event->num_args; ++i) event->args[i] = args[i];
-}
-
-/// JSON string escaping for names/categories (quotes, backslashes, control
-/// characters); metric names are plain identifiers but RDD labels may not be.
-void AppendEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out->append(buffer);
-    } else {
-      out->push_back(c);
-    }
-  }
 }
 
 void AppendEvent(std::string* out, const TraceEvent& event) {
   const bool sim = event.lane >= 0;
   char buffer[96];
   out->append("{\"name\":\"");
-  AppendEscaped(out, event.name != nullptr ? event.name : "?");
+  AppendJsonEscaped(out, event.name != nullptr ? event.name : "?");
   out->append("\",\"cat\":\"");
-  AppendEscaped(out, event.cat != nullptr ? event.cat : "?");
+  AppendJsonEscaped(out, event.cat != nullptr ? event.cat : "?");
   out->append("\",\"ph\":\"");
   out->push_back(event.ph);
   out->append("\"");
@@ -227,7 +142,7 @@ void AppendEvent(std::string* out, const TraceEvent& event) {
     for (uint32_t i = 0; i < event.num_args; ++i) {
       if (i > 0) out->push_back(',');
       out->push_back('"');
-      AppendEscaped(out, event.args[i].key != nullptr ? event.args[i].key
+      AppendJsonEscaped(out, event.args[i].key != nullptr ? event.args[i].key
                                                       : "?");
       std::snprintf(buffer, sizeof(buffer), "\":%.6g", event.args[i].value);
       out->append(buffer);
@@ -274,17 +189,78 @@ void AppendMetadata(std::string* out, const char* what, int pid, int tid,
     out->append(buffer);
   }
   out->append(",\"args\":{\"name\":\"");
-  AppendEscaped(out, name.c_str());
+  AppendJsonEscaped(out, name.c_str());
   out->append("\"}},\n");
 }
 
 }  // namespace
 
+namespace internal {
+
+template <typename Event>
+std::shared_ptr<EventRing<Event>> RegisterThreadRing() {
+  Registry& registry = GetRegistry();
+  MutexLock lock(registry.mu);
+  if (t_tid == 0) t_tid = registry.next_tid++;
+  auto ring =
+      std::make_shared<EventRing<Event>>(t_tid, registry.ring_capacity);
+  std::get<Rings<Event>>(registry.rings).push_back(ring);
+  return ring;
+}
+
+template <typename Event>
+EventSnapshot<Event> CollectRings(const char* what) {
+  EventSnapshot<Event> snapshot;
+  VisitRings<Event>(what, [&snapshot](const EventRing<Event>& ring) {
+    ring.CollectInto(&snapshot);
+  });
+  return snapshot;
+}
+
+template <typename Event>
+void ResetRings(const char* what) {
+  VisitRings<Event>(what, [](EventRing<Event>& ring) { ring.Reset(); });
+}
+
+template std::shared_ptr<EventRing<TraceEvent>> RegisterThreadRing();
+template std::shared_ptr<EventRing<JournalEvent>> RegisterThreadRing();
+template TraceSnapshot CollectRings<TraceEvent>(const char*);
+template JournalSnapshot CollectRings<JournalEvent>(const char*);
+template void ResetRings<TraceEvent>(const char*);
+template void ResetRings<JournalEvent>(const char*);
+
+void AppendJsonEscaped(std::string* out, const char* s) {
+  for (; s != nullptr && *s != '\0'; ++s) {
+    const char c = *s;
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+      out->append(buffer);
+    } else {
+      out->push_back(c);
+    }
+  }
+}
+
+bool WriteTextFile(const std::string& path, const std::string& contents) {
+  std::FILE* file = std::fopen(path.c_str(), "w");  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
+  if (file == nullptr) return false;
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), file);  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
+  const bool ok = written == contents.size() && std::fclose(file) == 0;
+  if (written != contents.size()) std::fclose(file);
+  return ok;
+}
+
+}  // namespace internal
+
 void EnableTracing(bool enabled) {
   internal::g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void SetTraceRingCapacity(size_t capacity) {
+void SetEventRingCapacity(size_t capacity) {
   size_t rounded = 1;
   while (rounded < capacity) rounded <<= 1;
   Registry& registry = GetRegistry();
@@ -330,8 +306,6 @@ void EmitBegin(const char* cat, const char* name, uint32_t num_args,
 
 void EmitBeginFlow(const char* cat, const char* name, uint64_t flow_id,
                    uint32_t num_args, const TraceArg* args) {
-  TraceRing& ring = ThreadRing();
-  EmissionScope in_flight(ring);
   TraceEvent event;
   event.name = name;
   event.cat = cat;
@@ -339,18 +313,16 @@ void EmitBeginFlow(const char* cat, const char* name, uint64_t flow_id,
   event.ts_us = TraceNowUs();
   event.flow_id = flow_id;
   FillArgs(&event, num_args, args);
-  ring.Push(event);
+  internal::ThreadRing<TraceEvent>().Push(event);
 }
 
 void EmitEnd(const char* cat, const char* name) {
-  TraceRing& ring = ThreadRing();
-  EmissionScope in_flight(ring);
   TraceEvent event;
   event.name = name;
   event.cat = cat;
   event.ph = 'E';
   event.ts_us = TraceNowUs();
-  ring.Push(event);
+  internal::ThreadRing<TraceEvent>().Push(event);
 }
 
 void EmitInstant(const char* cat, const char* name, uint32_t num_args,
@@ -360,8 +332,6 @@ void EmitInstant(const char* cat, const char* name, uint32_t num_args,
 
 void EmitInstantFlow(const char* cat, const char* name, uint64_t flow_id,
                      uint32_t num_args, const TraceArg* args) {
-  TraceRing& ring = ThreadRing();
-  EmissionScope in_flight(ring);
   TraceEvent event;
   event.name = name;
   event.cat = cat;
@@ -369,12 +339,10 @@ void EmitInstantFlow(const char* cat, const char* name, uint64_t flow_id,
   event.ts_us = TraceNowUs();
   event.flow_id = flow_id;
   FillArgs(&event, num_args, args);
-  ring.Push(event);
+  internal::ThreadRing<TraceEvent>().Push(event);
 }
 
 void EmitSimSpan(int lane, const char* name, double start_s, double dur_s) {
-  TraceRing& ring = ThreadRing();
-  EmissionScope in_flight(ring);
   TraceEvent event;
   event.name = name;
   event.cat = "sim";
@@ -382,7 +350,7 @@ void EmitSimSpan(int lane, const char* name, double start_s, double dur_s) {
   event.lane = lane;
   event.ts_us = start_s * 1e6;
   event.dur_us = dur_s * 1e6;
-  ring.Push(event);
+  internal::ThreadRing<TraceEvent>().Push(event);
 }
 
 int RegisterSimLane(const std::string& name) {
@@ -393,39 +361,25 @@ int RegisterSimLane(const std::string& name) {
 }
 
 TraceSnapshot CollectTrace() {
-  CheckQuiescent("CollectTrace");
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  TraceSnapshot snapshot;
-  for (const auto& ring : registry.rings) ring->CollectInto(&snapshot);
-  return snapshot;
+  return internal::CollectRings<TraceEvent>("CollectTrace");
 }
 
-void ResetTrace() {
-  CheckQuiescent("ResetTrace");
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  for (const auto& ring : registry.rings) ring->Reset();
-}
+void ResetTrace() { internal::ResetRings<TraceEvent>("ResetTrace"); }
 
 TraceSnapshot CollectTraceForCrash() {
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mu);
-  TraceSnapshot snapshot;
-  for (const auto& ring : registry.rings) ring->CollectInto(&snapshot);
-  return snapshot;
+  return internal::CollectRings<TraceEvent>(nullptr);
 }
 
-int64_t TraceQuiescenceViolations() {
+int64_t QuiescenceViolations() {
   return g_quiescence_violations.load(std::memory_order_relaxed);
 }
 
-void SetTraceQuiescenceAbortForTest(bool abort_on_violation) {
+void SetQuiescenceAbortForTest(bool abort_on_violation) {
   g_quiescence_abort.store(abort_on_violation, std::memory_order_relaxed);
 }
 
-void SetTraceEmissionPauseHookForTest(void (*hook)()) {
-  g_emission_pause_hook.store(hook, std::memory_order_release);
+void SetEmissionPauseHookForTest(void (*hook)()) {
+  internal::g_emission_pause_hook.store(hook, std::memory_order_release);
 }
 
 bool WriteChromeTrace(const std::string& path) {
@@ -522,12 +476,7 @@ bool WriteChromeTrace(const std::string& path) {
   out.append("{\"name\":\"trace-export\",\"cat\":\"obs\",\"ph\":\"i\","
              "\"s\":\"g\",\"ts\":0,\"pid\":1,\"tid\":0}\n]}\n");
 
-  std::FILE* file = std::fopen(path.c_str(), "w");  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  if (file == nullptr) return false;
-  const size_t written = std::fwrite(out.data(), 1, out.size(), file);  // memphis-lint: allow(raw-io) -- obs export, not durable-tier data
-  const bool ok = written == out.size() && std::fclose(file) == 0;
-  if (written != out.size()) std::fclose(file);
-  return ok;
+  return internal::WriteTextFile(path, out);
 }
 
 }  // namespace memphis::obs

@@ -27,14 +27,16 @@ namespace memphis::obs {
 /// thread writes its own ring and publishes with one release store. Rings
 /// overwrite their oldest events when full; CollectTrace() accounts every
 /// overwritten event in `dropped`, so emitted == collected + dropped always
-/// holds exactly.
+/// holds exactly. The reuse journal (journal.h) uses the same ring type and
+/// registry, so a thread's trace and journal events carry one tid.
 ///
-/// Draining (CollectTrace / WriteChromeTrace / ResetTrace) must run while no
-/// thread is concurrently emitting -- in practice at export points after the
-/// workload finished and the pool is idle. Debug builds enforce this: every
-/// enabled emission bumps a process-wide in-flight counter around its ring
-/// push, and the drain entry points abort (or count, under the no-abort test
-/// hook) if any emission is still in flight.
+/// Draining (CollectTrace / WriteChromeTrace / ResetTrace, and the journal's
+/// CollectJournal / WriteJournalJson / ResetJournal) must run while no
+/// thread is concurrently emitting into the drained rings -- in practice at
+/// export points after the workload finished and the pool is idle. This is
+/// enforced: every enabled emission marks its thread's ring mid-emission
+/// around the push, and the drain entry points abort (or count, under the
+/// no-abort test hook) if any emission is still in flight.
 
 // --- global switch ----------------------------------------------------------
 
@@ -49,9 +51,10 @@ inline bool TraceEnabled() {
 
 void EnableTracing(bool enabled);
 
-/// Ring capacity (events per thread) for rings created *after* this call.
-/// Must be a power of two; defaults to 1<<17 (~12 MiB per active thread).
-void SetTraceRingCapacity(size_t capacity);
+/// Capacity (events per thread) of the trace and journal rings created
+/// *after* this call, rounded up to a power of two; defaults to 1<<17
+/// (~12 MiB per active thread for the trace ring).
+void SetEventRingCapacity(size_t capacity);
 
 // --- events -----------------------------------------------------------------
 
@@ -182,11 +185,15 @@ class ScopedSpanReq {
 
 // --- collection / export ----------------------------------------------------
 
-struct TraceSnapshot {
-  std::vector<TraceEvent> events;  // Oldest-first per tid.
-  uint64_t emitted = 0;            // Total events ever pushed.
-  uint64_t dropped = 0;            // Overwritten by ring wrap-around.
+/// The surviving events of every ring of one kind (TraceEvent or
+/// JournalEvent) plus drop accounting: emitted == events.size() + dropped.
+template <typename Event>
+struct EventSnapshot {
+  std::vector<Event> events;  // Oldest-first per tid.
+  uint64_t emitted = 0;       // Total events ever pushed.
+  uint64_t dropped = 0;       // Overwritten by ring wrap-around.
 };
+using TraceSnapshot = EventSnapshot<TraceEvent>;
 
 /// Copies every ring's surviving events (plus drop accounting). Call while
 /// no thread is emitting.
@@ -203,18 +210,19 @@ TraceSnapshot CollectTraceForCrash();
 
 // --- quiescence enforcement -------------------------------------------------
 
-/// Emissions observed mid-flight by a CollectTrace/ResetTrace call so far.
+/// Trace or journal drains so far that found an emission mid-flight.
 /// Nonzero means the quiescence contract above was violated.
-int64_t TraceQuiescenceViolations();
+int64_t QuiescenceViolations();
 
 /// Test hook: when false, a quiescence violation is counted and reported to
 /// stderr instead of aborting. Tests must restore the default (true).
-void SetTraceQuiescenceAbortForTest(bool abort_on_violation);
+void SetQuiescenceAbortForTest(bool abort_on_violation);
 
-/// Test hook: invoked on the emitting thread after it registers as
-/// mid-emission but before the ring push, so a test can deterministically
-/// hold a worker inside the emission window. Pass nullptr to uninstall.
-void SetTraceEmissionPauseHookForTest(void (*hook)());
+/// Test hook: invoked on the emitting thread (trace or journal) after it
+/// registers as mid-emission but before the ring push, so a test can
+/// deterministically hold a worker inside the emission window. Pass nullptr
+/// to uninstall.
+void SetEmissionPauseHookForTest(void (*hook)());
 
 /// Drains everything into Chrome trace-event JSON at `path`. Unbalanced
 /// events caused by ring wrap-around are repaired (leading 'E's dropped,

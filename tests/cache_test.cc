@@ -356,6 +356,27 @@ TEST_F(CacheTest, RecycledGpuEntryInvalidatesOnProbe) {
   EXPECT_EQ(cache_.stats().invalidated_gpu, 1);
 }
 
+// ABA guard: recycling drops the old entry's contents, and tagging the same
+// object with a new key must not make the old entry look valid again.
+TEST_F(CacheTest, RecycledAndRetaggedGpuPointerMissesOldKey) {
+  double now = 0.0;
+  auto object = gpu_cache_.Allocate(800, &now);
+  object->buffer->data = kernels::Rand(10, 10, 0, 1, 1.0, 21);
+  cache_.PutGpu(Key("old"), object, 2.0, 1, now);
+  auto filler = gpu_cache_.Allocate((1 << 20) - 800, &now);
+  (void)filler;
+  gpu_cache_.Release(object, &now);
+  auto recycled = gpu_cache_.Allocate(800, &now);
+  ASSERT_EQ(recycled, object);
+  recycled->buffer->data = kernels::Rand(10, 10, 0, 1, 1.0, 23);
+  cache_.PutGpu(Key("new"), recycled, 2.0, 1, now);
+  EXPECT_EQ(cache_.Reuse(Key("old"), &now), nullptr);
+  EXPECT_EQ(cache_.stats().invalidated_gpu, 1);
+  CacheEntryPtr fresh = cache_.Reuse(Key("new"), &now);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->gpu, object);
+}
+
 TEST_F(CacheTest, D2hEvictionPreservesValueInHostTier) {
   double now = 0.0;
   auto value = kernels::Rand(10, 10, 0, 1, 1.0, 22);

@@ -242,7 +242,7 @@ TEST(TraceTest, ConcurrentEmissionAccountsForEveryEvent) {
   constexpr uint64_t kCapacity = 1024;
 
   obs::ResetTrace();
-  obs::SetTraceRingCapacity(kCapacity);
+  obs::SetEventRingCapacity(kCapacity);
   obs::EnableTracing(true);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -263,7 +263,7 @@ TEST(TraceTest, ConcurrentEmissionAccountsForEveryEvent) {
   EXPECT_EQ(snapshot.events.size(), uint64_t{kThreads} * kCapacity);
   EXPECT_EQ(snapshot.emitted, snapshot.events.size() + snapshot.dropped);
   obs::ResetTrace();
-  obs::SetTraceRingCapacity(size_t{1} << 17);  // Restore the default.
+  obs::SetEventRingCapacity(size_t{1} << 17);  // Restore the default.
 }
 
 // Pool threads share the collector with the driver thread: emission from
@@ -364,34 +364,69 @@ void PauseFirstEmission() {
   while (!g_release.load()) std::this_thread::yield();
 }
 
+// Arms PauseFirstEmission and the no-abort mode for one test; the destructor
+// releases a held emitter's window and restores the defaults.
+class ScopedEmissionPause {
+ public:
+  ScopedEmissionPause() {
+    obs::SetQuiescenceAbortForTest(false);
+    obs::SetEmissionPauseHookForTest(&PauseFirstEmission);
+    g_release.store(false);
+    g_in_window.store(false);
+    g_pause_armed.store(true);
+  }
+  ~ScopedEmissionPause() {
+    g_release.store(true);
+    obs::SetEmissionPauseHookForTest(nullptr);
+    obs::SetQuiescenceAbortForTest(true);
+  }
+  void WaitUntilHeld() {
+    while (!g_in_window.load()) std::this_thread::yield();
+  }
+  void Release() { g_release.store(true); }
+};
+
 // The drain contract is enforced, not just documented: CollectTrace while a
 // worker is mid-emission is a detected violation (counted here, an abort in
 // production), and becomes legal again once the emitter finished.
 TEST(TraceQuiescenceTest, CollectWhileEmittingIsDetected) {
   obs::ResetTrace();
   obs::EnableTracing(true);
-  obs::SetTraceQuiescenceAbortForTest(false);
-  obs::SetTraceEmissionPauseHookForTest(&PauseFirstEmission);
-  g_release.store(false);
-  g_in_window.store(false);
-  g_pause_armed.store(true);
-
-  const int64_t before = obs::TraceQuiescenceViolations();
+  ScopedEmissionPause pause;
+  const int64_t before = obs::QuiescenceViolations();
   std::thread emitter([] { MEMPHIS_TRACE_INSTANT("test", "mid-emission"); });
-  while (!g_in_window.load()) std::this_thread::yield();
+  pause.WaitUntilHeld();
   obs::CollectTrace();  // Mid-emission drain: must be caught.
-  EXPECT_EQ(obs::TraceQuiescenceViolations(), before + 1);
+  EXPECT_EQ(obs::QuiescenceViolations(), before + 1);
 
-  g_release.store(true);
+  pause.Release();
   emitter.join();
-  const int64_t held = obs::TraceQuiescenceViolations();
+  const int64_t held = obs::QuiescenceViolations();
   obs::CollectTrace();  // Emitter joined: draining is legal again.
-  EXPECT_EQ(obs::TraceQuiescenceViolations(), held);
-
-  obs::SetTraceEmissionPauseHookForTest(nullptr);
-  obs::SetTraceQuiescenceAbortForTest(true);
+  EXPECT_EQ(obs::QuiescenceViolations(), held);
   obs::EnableTracing(false);
   obs::ResetTrace();
+}
+
+// Journal drains carry the same enforced contract as trace drains.
+TEST(TraceQuiescenceTest, CollectJournalWhileEmittingIsDetected) {
+  obs::ResetJournal();
+  obs::EnableJournal(true);
+  ScopedEmissionPause pause;
+  const int64_t before = obs::QuiescenceViolations();
+  std::thread emitter(
+      [] { MEMPHIS_JOURNAL(kProbe, kHost, kNone, 0x5, 0.0, 0.0); });
+  pause.WaitUntilHeld();
+  obs::CollectJournal();  // Mid-emission drain: must be caught.
+  EXPECT_EQ(obs::QuiescenceViolations(), before + 1);
+
+  pause.Release();
+  emitter.join();
+  const int64_t held = obs::QuiescenceViolations();
+  EXPECT_EQ(obs::CollectJournal().events.size(), 1u);
+  EXPECT_EQ(obs::QuiescenceViolations(), held);
+  obs::EnableJournal(false);
+  obs::ResetJournal();
 }
 
 // --- reuse journal ----------------------------------------------------------
@@ -441,7 +476,7 @@ TEST(JournalTest, ConcurrentEmissionAccountsForEveryEvent) {
   constexpr uint64_t kCapacity = 1024;
 
   obs::ResetJournal();
-  obs::SetJournalRingCapacity(kCapacity);
+  obs::SetEventRingCapacity(kCapacity);
   obs::EnableJournal(true);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -465,7 +500,34 @@ TEST(JournalTest, ConcurrentEmissionAccountsForEveryEvent) {
   EXPECT_EQ(snapshot.events.size(), uint64_t{kThreads} * kCapacity);
   EXPECT_EQ(snapshot.emitted, snapshot.events.size() + snapshot.dropped);
   obs::ResetJournal();
-  obs::SetJournalRingCapacity(size_t{1} << 17);  // Restore the default.
+  obs::SetEventRingCapacity(size_t{1} << 17);  // Restore the default.
+}
+
+// A thread's trace and journal events carry one tid: the thread that
+// emits both kinds registers after a trace-only thread, so per-kind tid
+// counters would disagree.
+TEST(JournalTest, SharesTheThreadsTraceTid) {
+  obs::ResetTrace();
+  obs::ResetJournal();
+  obs::EnableTracing(true);
+  obs::EnableJournal(true);
+  std::thread([] { MEMPHIS_TRACE_INSTANT("test", "trace-only"); }).join();
+  std::thread([] {
+    MEMPHIS_TRACE_INSTANT("test", "both");
+    MEMPHIS_JOURNAL(kProbe, kHost, kNone, 0xb, 0.0, 0.0);
+  }).join();
+  obs::EnableTracing(false);
+  obs::EnableJournal(false);
+
+  const obs::TraceSnapshot trace = obs::CollectTrace();
+  const obs::JournalSnapshot journal = obs::CollectJournal();
+  ASSERT_EQ(trace.events.size(), 2u);
+  ASSERT_EQ(journal.events.size(), 1u);
+  EXPECT_STREQ(trace.events[1].name, "both");
+  EXPECT_EQ(journal.events[0].tid, trace.events[1].tid);
+  EXPECT_NE(journal.events[0].tid, trace.events[0].tid);
+  obs::ResetTrace();
+  obs::ResetJournal();
 }
 
 TEST(JournalExportTest, WritesExplainableJson) {
@@ -529,6 +591,30 @@ TEST(FlightRecorderTest, OnDemandDumpCarriesBothTails) {
   obs::EnableTracing(false);
   obs::EnableJournal(false);
   obs::ResetTrace();
+  obs::ResetJournal();
+}
+
+// The recorder drains both rings with the unchecked crash-path collectors:
+// a dump taken while another thread is held mid-way through a journal
+// emission is written and counts no quiescence violation.
+TEST(FlightRecorderTest, DumpsWhileAJournalEmissionIsInFlight) {
+  obs::ResetJournal();
+  obs::EnableJournal(true);
+  obs::EnableFlightRecorder(::testing::TempDir());
+  ScopedEmissionPause pause;
+  const int64_t violations = obs::QuiescenceViolations();
+  std::thread emitter(
+      [] { MEMPHIS_JOURNAL(kProbe, kHost, kNone, 0x51, 0.0, 0.0); });
+  pause.WaitUntilHeld();
+  const std::string path = obs::DumpFlightRecord("paused-journal");
+  EXPECT_FALSE(path.empty());
+  EXPECT_EQ(obs::QuiescenceViolations(), violations);
+
+  pause.Release();
+  emitter.join();
+  if (!path.empty()) std::remove(path.c_str());
+  obs::DisableFlightRecorder();
+  obs::EnableJournal(false);
   obs::ResetJournal();
 }
 

@@ -222,6 +222,12 @@ struct ReuseCase {
   size_t cols;
 };
 
+// Prints the case name, not the raw bytes: those hold pointers, so the test
+// names gtest_discover_tests builds from them would change on every run.
+void PrintTo(const ReuseCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class ReuseTransparency : public ::testing::TestWithParam<ReuseCase> {};
 
 TEST_P(ReuseTransparency, CachedResultMatchesRecomputation) {

@@ -21,6 +21,12 @@ struct SparkOpCase {
   std::function<HopPtr(HopDag&, HopPtr x, HopPtr v)> build;
 };
 
+// Prints the case name, not the raw bytes: those hold pointers, so the test
+// names gtest_discover_tests builds from them would change on every run.
+void PrintTo(const SparkOpCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class SparkOpEquivalence : public ::testing::TestWithParam<SparkOpCase> {};
 
 TEST_P(SparkOpEquivalence, DistributedMatchesLocal) {

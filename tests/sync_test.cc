@@ -132,7 +132,7 @@ TEST(SyncMutexTest, TryLockRegistersAndFailsCleanlyWhenContended) {
     if (!mu.TryLock()) {
       failed = true;
       // This thread holds nothing, so ordered locking still works.
-      Mutex other{LockRank::kTraceRegistry, "trylock-other"};
+      Mutex other{LockRank::kObsRegistry, "trylock-other"};
       MutexLock hold(other);
     } else {
       mu.Unlock();
@@ -242,7 +242,7 @@ class SyncStressTest : public ::testing::Test {
 };
 
 // Wrapper + validator stress across pool sizes: chunks serialize on a kTest
-// mutex, emit trace instants while holding it (the kTest -> kTraceRegistry
+// mutex, emit trace instants while holding it (the kTest -> kObsRegistry
 // edge is sanctioned), and the main thread snapshots metrics concurrently.
 // Any rank violation aborts; TSan builds check the wrappers' memory
 // ordering.
